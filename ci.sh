@@ -73,7 +73,10 @@
 #                        delivery), and the figure gate (zero steady-state
 #                        exits at ≥1.5x proxied throughput; see DESIGN.md,
 #                        "In-enclave TCP")
-#  15. bench JSON      — rakis-bench -json: the Figure 2 rows plus the
+#  15. microbenchmarks — smoke run of the host file path benchmarks
+#                        (BenchmarkInodeAppend, BenchmarkUringFileOp), so
+#                        they keep compiling and running
+#  16. bench JSON      — rakis-bench -json: the Figure 2 rows plus the
 #                        batched-vs-scalar, zero-copy, adaptive, shards,
 #                        and tcp rows in the stable rakis-bench/v1 layout
 #                        (BENCH_figs.json)
@@ -144,6 +147,9 @@ go test -race -run 'TestTCPShard|TestTCPViewScribble' ./internal/netstack/
 go test -run 'TestTCPDifferential' ./internal/experiments/
 go test -race -run 'TestSynFlood' ./internal/chaos/harness/
 go test -run 'TestTCPFigureGate' ./internal/experiments/
+
+echo "==> host file path microbenchmarks (smoke)"
+go test -run '^$' -bench 'InodeAppend|UringFileOp' -benchtime 100x ./internal/hostos
 
 echo "==> rakis-bench -fig 2,batch,zerocopy,adaptive,shards,tcp -json BENCH_figs.json"
 go run ./cmd/rakis-bench -fig 2,batch,zerocopy,adaptive,shards,tcp -scale 0.05 -json BENCH_figs.json > /dev/null

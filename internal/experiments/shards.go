@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
+	"rakis"
 	"rakis/internal/telemetry"
 	"rakis/internal/workloads"
 )
@@ -85,9 +88,27 @@ func shardWorldOptions(shards int, sink *telemetry.Sink, rr bool) Options {
 // the struct rollup, and cross-checked against the registry readers so
 // the figure consumes the same numbers operators see. A mismatch means
 // the telemetry wiring lies — that is a run failure, not a figure row.
+//
+// Both sources read the same live counters, and straggler frames can
+// still move them after the load returns. So the pair is taken at one
+// quiescent moment: the registry read counts only when ShardStats is
+// unchanged across it. After 2 s of movement the last pair is compared
+// as read.
 func shardRollup(w *World, sink *telemetry.Sink, cell *ShardCell) error {
 	stats := w.Rakis().ShardStats()
 	vals := sink.Reg.Values()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		after := w.Rakis().ShardStats()
+		still := slices.EqualFunc(stats, after, func(a, b rakis.ShardStat) bool {
+			return a.RxPkts == b.RxPkts && a.TxPkts == b.TxPkts
+		})
+		if still || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+		stats = w.Rakis().ShardStats()
+		vals = sink.Reg.Values()
+	}
 	for _, s := range stats {
 		rx, ok := vals[fmt.Sprintf("fm.xsk%d.rx_pkts", s.Shard)]
 		if !ok || rx != s.RxPkts {

@@ -7,6 +7,7 @@ package hostos
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -410,7 +411,6 @@ func TestIoUringHostileCompletions(t *testing.T) {
 	uobj, _ := w.kern.lookupFD(setup.FD)
 	u := uobj.(*uringKernel)
 	u.stop() // silence the real worker
-	time.Sleep(10 * time.Millisecond)
 
 	cslot, _ := u.compl.SlotBytes(0)
 	iouring.PutCQE(cslot, iouring.CQE{UserData: 9999, Res: 1}) // foreign token
@@ -421,5 +421,140 @@ func TestIoUringHostileCompletions(t *testing.T) {
 
 	if _, err := fm.Wait(tok, &clk); !errors.Is(err, iouring.EPERM) {
 		t.Fatalf("hostile completion err = %v, want EPERM", err)
+	}
+}
+
+// bareUring boots a kernel with no namespaces, opens path read-write
+// through a fresh process, and attaches an io_uring to it: the minimal
+// host file path, with no network devices or monitor thread around it.
+type bareUring struct {
+	kern   *Kernel
+	proc   *Proc
+	fd     int
+	setup  iouring.Setup
+	fm     *iouring.Ring
+	bounce mem.Addr
+}
+
+func newBareUring(tb testing.TB, path string, bounceLen uint64) *bareUring {
+	tb.Helper()
+	kern := NewKernel(mem.NewSpace(1<<16, 1<<22), vtime.Default())
+	tb.Cleanup(kern.Close)
+	b := &bareUring{kern: kern, proc: kern.NewProc(nil, nil)}
+	var clk vtime.Clock
+	var err error
+	if b.fd, err = b.proc.Open(path, OCreate|ORdwr, &clk); err != nil {
+		tb.Fatal(err)
+	}
+	if b.setup, err = b.proc.IoUringSetup(8, &clk); err != nil {
+		tb.Fatal(err)
+	}
+	if b.fm, err = iouring.Attach(iouring.Config{
+		Space: kern.Space, Setup: b.setup, Entries: 8, Model: kern.Model,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if b.bounce, err = kern.Space.Alloc(mem.Untrusted, bounceLen, 64); err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// roundTrip submits one SQE on the bounce buffer, kicks the worker and
+// waits for the completion.
+func (b *bareUring) roundTrip(tb testing.TB, op iouring.Op, off uint64, n uint32, clk *vtime.Clock) int32 {
+	tok, err := b.fm.Submit(iouring.SQE{Op: op, FD: int32(b.fd), Off: off, Addr: b.bounce, Len: n}, clk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := b.proc.IoUringEnter(b.setup.FD, clk); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := b.fm.Wait(tok, clk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+func TestKernelCloseStopsUringWorkers(t *testing.T) {
+	// Kernel.Close must stop and join every io_uring worker still in the
+	// fd table — one left open and one already closed through Proc.Close —
+	// so a closed world pins no goroutine and, through it, no Space.
+	baseline := runtime.NumGoroutine()
+	kern := NewKernel(mem.NewSpace(1<<16, 1<<20), vtime.Default())
+	proc := kern.NewProc(nil, nil)
+	var clk vtime.Clock
+	for range 3 {
+		if _, err := proc.IoUringSetup(8, &clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed, err := proc.IoUringSetup(8, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Close(closed.FD, &clk); err != nil {
+		t.Fatal(err)
+	}
+	if runtime.NumGoroutine() < baseline+3 {
+		t.Fatalf("goroutines = %d, want at least %d open workers", runtime.NumGoroutine(), baseline+3)
+	}
+	kern.Close()
+	// A joined worker has run its last statement; give the runtime a
+	// moment to retire the goroutine itself.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Kernel.Close, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestIoUringFileCQEStamp(t *testing.T) {
+	// Regular-file reads and writes complete inline in the worker. The
+	// CQE's virtual stamp must still be exactly
+	//   SQE stamp + wake latency + dispatch + VFS op + bytes·copy,
+	// so the modelled plane cannot drift with how the op is scheduled.
+	b := newBareUring(t, "/f", 4096)
+	b.kern.VFS().WriteFile("/f", bytes.Repeat([]byte("x"), 3000))
+	m := b.kern.Model
+	for _, tc := range []struct {
+		name string
+		op   iouring.Op
+		n    uint32
+	}{
+		{"pread", iouring.OpRead, 3000},
+		{"pwrite", iouring.OpWrite, 1234},
+	} {
+		var clk vtime.Clock
+		clk.Advance(1_000_000 + uint64(tc.n)) // a distinctive submit time
+		tok, err := b.fm.Submit(iouring.SQE{Op: tc.op, FD: int32(b.fd), Addr: b.bounce, Len: tc.n}, &clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted := clk.Now()
+		if err := b.proc.IoUringEnter(b.setup.FD, &vtime.Clock{}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if avail, _ := b.fm.Compl.Available(); avail > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no completion", tc.name)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		want := submitted + m.IoUringWakeLatency + m.IoUringDispatch + m.VfsOp +
+			vtime.Bytes(m.KernelCopyPerByte, int(tc.n))
+		if got := b.fm.Compl.SlotStamp(0); got != want {
+			t.Fatalf("%s: CQE stamp = %d, want %d", tc.name, got, want)
+		}
+		if res, err := b.fm.Wait(tok, &clk); err != nil || res != int32(tc.n) {
+			t.Fatalf("%s: res = %d, %v", tc.name, res, err)
+		}
 	}
 }

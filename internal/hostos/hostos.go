@@ -183,14 +183,24 @@ func (k *Kernel) NetNS(name string) *NetNS {
 	return k.nss[name]
 }
 
-// Close stops every namespace's stack and device.
+// Close stops every io_uring worker still open and waits for each to
+// exit, then stops every namespace's stack and device.
 func (k *Kernel) Close() {
 	k.mu.Lock()
 	nss := make([]*NetNS, 0, len(k.nss))
 	for _, ns := range k.nss {
 		nss = append(nss, ns)
 	}
+	var urings []*uringKernel
+	for _, obj := range k.fds {
+		if u, ok := obj.(*uringKernel); ok {
+			urings = append(urings, u)
+		}
+	}
 	k.mu.Unlock()
+	for _, u := range urings {
+		u.stop()
+	}
 	for _, ns := range nss {
 		ns.Stack.Close()
 		ns.Dev.Close()

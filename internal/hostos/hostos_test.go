@@ -84,6 +84,94 @@ func TestVFSBasics(t *testing.T) {
 	}
 }
 
+// readAll returns the inode's full contents through ReadAt, checking
+// that the read length agrees with Size.
+func readAll(t *testing.T, ino *Inode) []byte {
+	t.Helper()
+	buf := make([]byte, ino.Size())
+	if n := ino.ReadAt(buf, 0); n != len(buf) {
+		t.Fatalf("ReadAt = %d, want Size %d", n, len(buf))
+	}
+	return buf
+}
+
+func TestVFSTruncateThenHoleReadsZero(t *testing.T) {
+	// Bytes past a shrinking Truncate stay in the buffer's capacity; a
+	// later write beyond them must expose a zero hole, not the old data.
+	ino := NewVFS().Create("/f")
+	ino.WriteAt(bytes.Repeat([]byte{0xAA}, 100), 0)
+	ino.Truncate(10)
+	ino.WriteAt([]byte("tail"), 50)
+	if ino.Size() != 54 {
+		t.Fatalf("Size = %d, want 54", ino.Size())
+	}
+	want := append(append(bytes.Repeat([]byte{0xAA}, 10), make([]byte, 40)...), "tail"...)
+	if got := readAll(t, ino); !bytes.Equal(got, want) {
+		t.Fatalf("contents = %x\nwant       %x", got, want)
+	}
+}
+
+func TestVFSTruncateUpReadsZero(t *testing.T) {
+	ino := NewVFS().Create("/f")
+	ino.WriteAt(bytes.Repeat([]byte{0xBB}, 64), 0)
+	ino.Truncate(8)
+	ino.Truncate(32)   // back up inside the old capacity
+	ino.Truncate(1000) // and past it
+	if ino.Size() != 1000 {
+		t.Fatalf("Size = %d, want 1000", ino.Size())
+	}
+	want := append(bytes.Repeat([]byte{0xBB}, 8), make([]byte, 992)...)
+	if got := readAll(t, ino); !bytes.Equal(got, want) {
+		t.Fatalf("contents after Truncate up = %x", got)
+	}
+}
+
+func TestVFSCreateExistingDropsOldBytes(t *testing.T) {
+	v := NewVFS()
+	v.WriteFile("/f", bytes.Repeat([]byte{0xCC}, 4096))
+	ino := v.Create("/f")
+	ino.WriteAt([]byte("new"), 0)
+	if ino.Size() != 3 {
+		t.Fatalf("Size = %d, want 3", ino.Size())
+	}
+	buf := make([]byte, 16)
+	if n := ino.ReadAt(buf, 3); n != 0 {
+		t.Fatalf("ReadAt past new data = %d, want 0", n)
+	}
+	if n := ino.ReadAt(buf, 100); n != 0 || !bytes.Equal(buf, make([]byte, 16)) {
+		t.Fatalf("ReadAt in the old extent = %d %x, want 0 and no old bytes", n, buf)
+	}
+	if got := readAll(t, ino); string(got) != "new" {
+		t.Fatalf("contents = %q", got)
+	}
+	// Growing again over the old extent must read zeros, not 0xCC.
+	ino.WriteAt([]byte("z"), 99)
+	want := append(append([]byte("new"), make([]byte, 96)...), 'z')
+	if got := readAll(t, ino); !bytes.Equal(got, want) {
+		t.Fatalf("regrown contents = %x", got)
+	}
+}
+
+func TestVFSAppendAcrossDoublings(t *testing.T) {
+	// Odd-sized appends cross many capacity doublings; every byte must
+	// land where it was written and Size must track the appends exactly.
+	ino := NewVFS().Create("/f")
+	var want []byte
+	for i := 0; len(want) < 300_000; i++ {
+		chunk := bytes.Repeat([]byte{byte(i)}, 1+i*37%5000)
+		if n := ino.WriteAt(chunk, int64(len(want))); n != len(chunk) {
+			t.Fatalf("append %d wrote %d of %d", i, n, len(chunk))
+		}
+		want = append(want, chunk...)
+		if ino.Size() != int64(len(want)) {
+			t.Fatalf("append %d: Size = %d, want %d", i, ino.Size(), len(want))
+		}
+	}
+	if got := readAll(t, ino); !bytes.Equal(got, want) {
+		t.Fatal("contents differ after appends across capacity doublings")
+	}
+}
+
 func TestFileSyscalls(t *testing.T) {
 	w := newTestWorld(t)
 	var clk vtime.Clock

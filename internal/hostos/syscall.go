@@ -491,6 +491,16 @@ func (p *Proc) readiness(fd int, events uint32) uint32 {
 // Poll waits until any descriptor is ready or the real-time timeout
 // expires (timeout < 0 waits indefinitely). It returns the ready count
 // and fills Revents. The virtual cost is one scan of the descriptor set.
+//
+// A costed process waits between scans on the first UDP socket in its
+// set, so a datagram arriving there wakes it at once, as a socket wait
+// queue wakes a real poller. How fast idle server threads wake decides
+// how evenly they share arriving requests in virtual time; with a plain
+// sleep that depended on the Go runtime's timer resolution, which is
+// 1 ms in an otherwise idle process. Other descriptors, and every wait
+// of an uncosted load generator, re-scan every pollRescan: the load
+// generator's wake timing shapes the offered load, and the benchmark's
+// modelled figures are measured against it.
 func (p *Proc) Poll(fds []PollFD, timeout time.Duration, clk *vtime.Clock) (int, error) {
 	p.enter(clk)
 	if !p.Free {
@@ -499,6 +509,17 @@ func (p *Proc) Poll(fds []PollFD, timeout time.Duration, clk *vtime.Clock) (int,
 	var deadline time.Time
 	if timeout >= 0 {
 		deadline = time.Now().Add(timeout)
+	}
+	var udp *netstack.UDPSocket
+	for i := range fds {
+		if p.Free || udp != nil || fds[i].Events&PollIn == 0 {
+			continue
+		}
+		if obj, err := p.kern.lookupFD(fds[i].FD); err == nil {
+			if o, ok := obj.(*udpObj); ok {
+				udp = o.sock
+			}
+		}
 	}
 	for {
 		n := 0
@@ -517,9 +538,16 @@ func (p *Proc) Poll(fds []PollFD, timeout time.Duration, clk *vtime.Clock) (int,
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return 0, nil
 		}
-		time.Sleep(50 * time.Microsecond)
+		if udp != nil {
+			udp.WaitReadable(pollRescan)
+		} else {
+			time.Sleep(pollRescan)
+		}
 	}
 }
+
+// pollRescan is how often a waiting Poll re-scans its descriptors.
+const pollRescan = 50 * time.Microsecond
 
 // Futex models Gramine's observation (§6.1) that some futex waits can be
 // handled without a host syscall: the Native path charges a syscall, the

@@ -26,7 +26,8 @@ type uringKernel struct {
 	compl *ring.Ring // kernel produces
 
 	wake     chan struct{}
-	done     chan struct{}
+	done     chan struct{} // closed by stop
+	exited   chan struct{} // closed when the worker goroutine returns
 	stopOnce sync.Once
 
 	complMu sync.Mutex // serializes CQE production from async op goroutines
@@ -51,6 +52,7 @@ func (p *Proc) IoUringSetup(entries uint32, clk *vtime.Clock) (iouring.Setup, er
 		kern: k, proc: p,
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
+		exited:      make(chan struct{}),
 		pollCancels: make(map[uint64]chan struct{}),
 	}
 	if u.sub, err = ring.New(ring.Config{
@@ -122,12 +124,16 @@ func (u *uringKernel) kick() {
 	}
 }
 
+// stop stops the worker and blocks until its goroutine has returned, so
+// nothing it references outlives the kernel.
 func (u *uringKernel) stop() {
 	u.stopOnce.Do(func() { close(u.done) })
+	<-u.exited
 }
 
 // worker drains the submission ring whenever kicked.
 func (u *uringKernel) worker() {
+	defer close(u.exited)
 	inj := u.kern.Chaos
 	// Periodic scan as a safety net against lost wakeups. Chaos profiles
 	// that inject wakeup loss disable it so the loss actually stalls and
@@ -136,13 +142,17 @@ func (u *uringKernel) worker() {
 	if inj.KernelScanDisabled() {
 		scan = time.Hour
 	}
+	// One timer for the worker's lifetime, re-armed after every wakeup.
+	timer := time.NewTimer(scan)
+	defer timer.Stop()
 	for {
 		select {
 		case <-u.done:
 			return
 		case <-u.wake:
-		case <-time.After(scan):
+		case <-timer.C:
 		}
+		timer.Reset(scan)
 		if inj.WorkerKill() {
 			// Fault site (c): the kernel routine dies. Outstanding and
 			// future operations on this ring never complete; the enclave
@@ -191,12 +201,14 @@ func (u *uringKernel) worker() {
 			start := u.sub.SlotStamp(0) + m.IoUringWakeLatency
 			u.sub.Release(1)
 			// Fast-path ops complete inline in the worker; anything that
-			// can block (reads, recvs, unready polls) gets a goroutine,
-			// as real io_uring punts blocking work to async context.
+			// can block (recvs, unready polls) gets a goroutine, as real
+			// io_uring punts blocking work to async context. Reads run
+			// inline too: a VFS read never blocks (the VFS is the page
+			// cache), and a read of any other fd fails at once.
 			var clk vtime.Clock
 			clk.SyncAdvance(start, m.IoUringDispatch)
 			switch sqe.Op {
-			case iouring.OpNop, iouring.OpPollRemove, iouring.OpFsync, iouring.OpWrite:
+			case iouring.OpNop, iouring.OpPollRemove, iouring.OpFsync, iouring.OpWrite, iouring.OpRead:
 				u.complete(sqe.UserData, u.hostileRes(sqe, u.execute(sqe, &clk)), clk.Now())
 				continue
 			case iouring.OpPollAdd:

@@ -51,15 +51,14 @@ func (ino *Inode) WriteAt(p []byte, off int64) int {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(ino.data)) {
-		grown := make([]byte, end)
-		copy(grown, ino.data)
-		ino.data = grown
+		ino.extend(end, off)
 	}
 	copy(ino.data[off:end], p)
 	return len(p)
 }
 
-// Truncate resizes the file.
+// Truncate resizes the file. Shrinking keeps the capacity, so an
+// O_TRUNC reopen reuses the buffer.
 func (ino *Inode) Truncate(n int64) {
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -70,7 +69,24 @@ func (ino *Inode) Truncate(n int64) {
 		ino.data = ino.data[:n]
 		return
 	}
-	grown := make([]byte, n)
+	ino.extend(n, n)
+}
+
+// extend grows the file to n bytes (n > Size). Newly exposed bytes below
+// written are zero-filled; the caller overwrites [written, n) itself, so
+// an append touches each byte once. Capacity at least doubles on
+// reallocation, so a run of appends costs amortised O(1) per byte. The
+// zero fill is load-bearing: a shrinking Truncate keeps the old bytes
+// beyond the new length in the buffer, and they must never reappear in a
+// later hole or extension. Caller holds ino.mu.
+func (ino *Inode) extend(n, written int64) {
+	old := int64(len(ino.data))
+	if n <= int64(cap(ino.data)) {
+		ino.data = ino.data[:n]
+		clear(ino.data[old:max(old, written)])
+		return
+	}
+	grown := make([]byte, n, max(n, 2*int64(cap(ino.data))))
 	copy(grown, ino.data)
 	ino.data = grown
 }

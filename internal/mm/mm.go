@@ -216,9 +216,11 @@ func (m *Monitor) Dead() bool {
 // binary) can drive the monitor deterministically.
 func (m *Monitor) Sweep() int {
 	force := m.force.Swap(false)
+	// Watches are only ever appended, so the slice header read under the
+	// lock is a stable view: a later append writes past its length or
+	// into a new backing array, never into the cells this pass reads.
 	m.mu.Lock()
-	watches := make([]*watch, len(m.watches))
-	copy(watches, m.watches)
+	watches := m.watches
 	m.mu.Unlock()
 	m.applyMode(watches)
 	busy := m.busyApplied.Load()

@@ -246,6 +246,57 @@ func TestUDPRecvTimeout(t *testing.T) {
 	}
 }
 
+func TestUDPWaitReadable(t *testing.T) {
+	s := newShardStack(t, 1)
+	sock, err := s.UDPBind(5006)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := Addr{IP: IP4{10, 9, 0, 1}, Port: 4000}
+	var clk vtime.Clock
+
+	// Nothing queued: the wait runs out and reports no data.
+	if sock.WaitReadable(20 * time.Millisecond) {
+		t.Fatal("WaitReadable on an empty socket = true")
+	}
+
+	// Two waiters, one datagram: the first woken passes the wakeup on,
+	// so both see it long before their minute-long waits run out.
+	woken := make(chan bool, 2)
+	for range 2 {
+		go func() { woken <- sock.WaitReadable(time.Minute) }()
+	}
+	time.Sleep(10 * time.Millisecond)
+	injectUDP(s, 0, src, 5006, []byte("x"), &clk)
+	for range 2 {
+		select {
+		case ok := <-woken:
+			if !ok {
+				t.Fatal("woken waiter saw no data")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter not woken by an arriving datagram")
+		}
+	}
+	if _, err := sock.RecvFrom(&clk, false); err != nil {
+		t.Fatalf("recv after wait: %v", err)
+	}
+
+	// A wakeup left over from a datagram already taken is dropped: the
+	// waiter keeps waiting and reports no data.
+	injectUDP(s, 0, src, 5006, []byte("y"), &clk)
+	if _, err := sock.RecvFrom(&clk, false); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if sock.WaitReadable(30 * time.Millisecond) {
+		t.Fatal("stale wakeup reported data")
+	}
+	if time.Since(start) < 30*time.Millisecond {
+		t.Fatalf("stale wakeup ended the wait after %v", time.Since(start))
+	}
+}
+
 func TestCorruptUDPChecksumDropped(t *testing.T) {
 	w := newWorld(t, nil)
 	srv, _ := w.b.UDPBind(5006)

@@ -536,6 +536,33 @@ func (u *UDPSocket) finishRecv(d *Datagram, clk *vtime.Clock) {
 // Readable reports whether a datagram is queued (poll support).
 func (u *UDPSocket) Readable() bool { return u.pending.Load() > 0 }
 
+// WaitReadable blocks until a datagram is queued or d of real time
+// passes, and reports whether one is queued. It takes no datagram: a
+// waiter that sees data passes the coalesced wakeup on, so a blocked
+// receiver or another waiter still sees it, and a wakeup left over from
+// a datagram that is already gone is dropped.
+func (u *UDPSocket) WaitReadable(d time.Duration) bool {
+	if u.Readable() {
+		return true
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		select {
+		case <-u.wake:
+			if u.Readable() {
+				select {
+				case u.wake <- struct{}{}:
+				default:
+				}
+				return true
+			}
+		case <-timer.C:
+			return u.Readable()
+		}
+	}
+}
+
 // QueueLen returns the number of queued datagrams across all shards.
 func (u *UDPSocket) QueueLen() int {
 	if n := u.pending.Load(); n > 0 {
